@@ -1482,7 +1482,10 @@ let smoke () =
      svc-place    cold place runtime through the engine
      svc-replace  warm replace runtime (resource.speedup_x vs svc-place)
      svc-jobs     total seconds for the report_timing batch
-                  (resource.jobs_per_s, p50/p95/p99 ms)                  *)
+                  (resource.jobs_per_s, p50/p95/p99 ms)
+     svc-wire     total seconds for 256 report_timing n=500 k=4 queries,
+                  each handle + Obs.Json.to_string of the reply
+                  (resource.p50_ms/p95_ms, reply_bytes)                  *)
 
 let service_section () =
   let dname = "sb1" in
@@ -1530,8 +1533,30 @@ let service_section () =
     lat.(i) <- dt
   done;
   let batch_s = Unix.gettimeofday () -. batch_t0 in
+  (* Wire-level query: report_timing_endpoint(500, 4) as a client sees
+     it — the engine's handle plus encoding the reply to its bytes. *)
+  let wire_n = 256 in
+  let wire = Array.make wire_n 0.0 in
+  let wire_bytes = ref 0 in
+  let wire_req =
+    req "report_timing"
+      [ ("design", Obs.Json.String dname); ("n", Obs.Json.Int 500); ("k", Obs.Json.Int 4) ]
+  in
+  let wire_t0 = Unix.gettimeofday () in
+  for i = 0 to wire_n - 1 do
+    let t0 = Unix.gettimeofday () in
+    let bytes = Obs.Json.to_string (run "report_timing" wire_req) in
+    wire.(i) <- Unix.gettimeofday () -. t0;
+    wire_bytes := String.length bytes
+  done;
+  let wire_s = Unix.gettimeofday () -. wire_t0 in
   Array.sort compare lat;
-  let pct q = lat.(min (jobs_n - 1) (int_of_float (Float.ceil (q *. float_of_int jobs_n)) - 1)) in
+  Array.sort compare wire;
+  let pct_of a q =
+    let n = Array.length a in
+    a.(min (n - 1) (int_of_float (Float.ceil (q *. float_of_int n)) - 1))
+  in
+  let pct = pct_of lat in
   let jobs_per_s = float_of_int jobs_n /. Float.max 1e-9 batch_s in
   let speedup = cold_s /. Float.max 1e-9 warm_s in
   let t =
@@ -1552,6 +1577,16 @@ let service_section () =
       f2 (pct 0.99 *. 1e3);
       f1 jobs_per_s;
     ];
+  Util.Tablefmt.add_row t
+    [
+      Printf.sprintf "report_timing n=500 k=4 + encode (%d B)" !wire_bytes;
+      string_of_int wire_n;
+      f2 wire_s;
+      f2 (pct_of wire 0.5 *. 1e3);
+      f2 (pct_of wire 0.95 *. 1e3);
+      f2 (pct_of wire 0.99 *. 1e3);
+      f1 (float_of_int wire_n /. Float.max 1e-9 wire_s);
+    ];
   Util.Tablefmt.print t;
   print_newline ();
   let entry label runtime resource =
@@ -1565,7 +1600,13 @@ let service_section () =
       ]
   in
   extra_entries :=
-    entry "svc-jobs" batch_s
+    entry "svc-wire" wire_s
+      [
+        ("p50_ms", Obs.Json.Float (pct_of wire 0.5 *. 1e3));
+        ("p95_ms", Obs.Json.Float (pct_of wire 0.95 *. 1e3));
+        ("reply_bytes", Obs.Json.Int !wire_bytes);
+      ]
+    :: entry "svc-jobs" batch_s
       [
         ("jobs_per_s", Obs.Json.Float jobs_per_s);
         ("p50_ms", Obs.Json.Float (pct 0.5 *. 1e3));

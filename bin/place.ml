@@ -278,7 +278,7 @@ let domains =
 let fault_inject =
   Arg.(value & opt (some string) None
        & info [ "fault-inject" ] ~docv:"SPEC"
-           ~doc:"Robustness-test fault injection: site=kind\\@start[+count],... with site in \
+           ~doc:"Robustness-test fault injection: site=kind@start[+count],... with site in \
                  {wl_grad, elmore} and kind in {nan, inf, -inf, huge}. Defaults to \
                  \\$FAULT_INJECT.")
 

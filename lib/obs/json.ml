@@ -16,29 +16,74 @@ type t =
 
 (* ---- emission ---- *)
 
-let escape_string s =
-  let buf = Buffer.create (String.length s + 2) in
-  Buffer.add_char buf '"';
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | '\r' -> Buffer.add_string buf "\\r"
-      | '\t' -> Buffer.add_string buf "\\t"
-      | c when Char.code c < 0x20 -> Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.add_char buf '"';
-  Buffer.contents buf
+(* Everything writes straight into the one output buffer. A reply is
+   mostly pin-name strings and slack/arrival floats, so both have a fast
+   path that leaves the bytes unchanged. *)
 
+let needs_escape c = c = '"' || c = '\\' || Char.code c < 0x20
+
+let add_escaped buf c =
+  match c with
+  | '"' -> Buffer.add_string buf "\\\""
+  | '\\' -> Buffer.add_string buf "\\\\"
+  | '\n' -> Buffer.add_string buf "\\n"
+  | '\r' -> Buffer.add_string buf "\\r"
+  | '\t' -> Buffer.add_string buf "\\t"
+  | c ->
+      let hex = "0123456789abcdef" in
+      Buffer.add_string buf "\\u00";
+      Buffer.add_char buf hex.[Char.code c lsr 4];
+      Buffer.add_char buf hex.[Char.code c land 15]
+
+(* Clean runs go out with one [add_substring]; a string with nothing to
+   escape (every pin name) is a single copy. *)
+let write_string buf s =
+  Buffer.add_char buf '"';
+  let n = String.length s in
+  let run = ref 0 in
+  for i = 0 to n - 1 do
+    let c = String.unsafe_get s i in
+    if needs_escape c then begin
+      if i > !run then Buffer.add_substring buf s !run (i - !run);
+      add_escaped buf c;
+      run := i + 1
+    end
+  done;
+  if !run = 0 then Buffer.add_string buf s
+  else if n > !run then Buffer.add_substring buf s !run (n - !run);
+  Buffer.add_char buf '"'
+
+(* The primitive behind [Printf.sprintf "%.12g"] for finite floats. *)
+external format_float : string -> float -> string = "caml_format_float"
+
+(* 10^0 .. 10^22: every entry is exact in binary64. *)
+let pow10 = Array.init 23 (fun i -> float_of_string ("1e" ^ string_of_int i))
+
+(* Whether [%.12g] certainly fails to round-trip [a] (finite, > 0).
+   With 10^e <= a < 10^(e+1), s = a * 10^(11-e) lies in [1e11, 1e12) and
+   the 12-digit decimals near [a] scale to the integers near s. A
+   round-trip needs such a decimal within half an ulp of [a]; scaled,
+   that is <= 2^-53 * 1e12 ~ 1.1e-4, and the one rounding in computing s
+   adds <= 2^-14 ~ 6.1e-5. So |s - round s| > 0.01 rules it out. Scales
+   beyond 10^22 are not exact; those (and any [e] estimate that misses
+   the decade) answer [false] and take the full test. *)
+let surely_needs_17 a =
+  let e = int_of_float (Float.floor (Float.log10 a)) in
+  let d = 11 - e in
+  if d > 22 || d < -22 then false
+  else begin
+    let s = if d >= 0 then a *. Array.unsafe_get pow10 d else a /. Array.unsafe_get pow10 (-d) in
+    s >= 1e11 && s < 1e12 && Float.abs (s -. Float.round s) > 0.01
+  end
+
+(* Wire format: [%.12g] when it round-trips, else [%.17g]; non-finite
+   floats are [null]. *)
 let float_repr f =
   if not (Float.is_finite f) then "null"
+  else if f <> 0.0 && surely_needs_17 (Float.abs f) then format_float "%.17g" f
   else begin
-    (* Shortest representation that still round-trips. *)
-    let s = Printf.sprintf "%.12g" f in
-    if float_of_string s = f then s else Printf.sprintf "%.17g" f
+    let s = format_float "%.12g" f in
+    if float_of_string s = f then s else format_float "%.17g" f
   end
 
 let rec write buf = function
@@ -46,25 +91,38 @@ let rec write buf = function
   | Bool b -> Buffer.add_string buf (if b then "true" else "false")
   | Int i -> Buffer.add_string buf (string_of_int i)
   | Float f -> Buffer.add_string buf (float_repr f)
-  | String s -> Buffer.add_string buf (escape_string s)
-  | List xs ->
+  | String s -> write_string buf s
+  | List [] -> Buffer.add_string buf "[]"
+  | List (x :: xs) ->
       Buffer.add_char buf '[';
-      List.iteri
-        (fun i x ->
-          if i > 0 then Buffer.add_char buf ',';
-          write buf x)
-        xs;
+      write buf x;
+      write_items buf xs;
       Buffer.add_char buf ']'
-  | Obj kvs ->
+  | Obj [] -> Buffer.add_string buf "{}"
+  | Obj (kv :: kvs) ->
       Buffer.add_char buf '{';
-      List.iteri
-        (fun i (k, v) ->
-          if i > 0 then Buffer.add_char buf ',';
-          Buffer.add_string buf (escape_string k);
-          Buffer.add_char buf ':';
-          write buf v)
-        kvs;
+      write_member buf kv;
+      write_members buf kvs;
       Buffer.add_char buf '}'
+
+and write_items buf = function
+  | [] -> ()
+  | x :: xs ->
+      Buffer.add_char buf ',';
+      write buf x;
+      write_items buf xs
+
+and write_member buf (k, v) =
+  write_string buf k;
+  Buffer.add_char buf ':';
+  write buf v
+
+and write_members buf = function
+  | [] -> ()
+  | kv :: kvs ->
+      Buffer.add_char buf ',';
+      write_member buf kv;
+      write_members buf kvs
 
 let to_string v =
   let buf = Buffer.create 256 in

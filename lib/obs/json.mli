@@ -1,5 +1,19 @@
 (** Minimal JSON values — emitter and parser with no external dependency.
-    Non-finite floats emit as [null]. *)
+
+    {2 Wire format}
+
+    The emitted bytes are a stable contract: daemon replies, trace lines,
+    reports and goldens are compared byte for byte.
+    - A finite float is written as [Printf.sprintf "%.12g"] when that
+      reads back ([float_of_string]) to the same float, else as
+      [Printf.sprintf "%.17g"] (always exact).
+    - A non-finite float (NaN, +-infinity) is written as [null].
+    - A string is written between double quotes. The double quote and
+      the backslash are escaped with a backslash; newline, carriage
+      return and tab as backslash-[n], -[r], -[t]; any other byte below
+      0x20 as backslash-[u00xx] (lowercase hex). Every other byte, 0x7f
+      and non-ASCII included, is copied unchanged.
+    - No whitespace; object keys in the order given. *)
 
 type t =
   | Null
@@ -10,6 +24,7 @@ type t =
   | List of t list
   | Obj of (string * t) list
 
+(** Encode per the wire format above. *)
 val to_string : t -> string
 
 exception Parse_error of string

@@ -48,9 +48,7 @@ let note_eco entry (a : Eco.applied) =
   match entry.timer with
   | None -> () (* cold: nothing to keep consistent *)
   | Some tm ->
-      (* Order matters: constraint changes first (cheap in-place
-         refreshes / invalidations), the incremental re-time last so it
-         settles the final state once. *)
+      (* Mark stale only: [replace] re-places right after the delta, so
+         an incremental re-time here would never be read. *)
       (match a.Eco.clock with Some p -> Sta.Timer.set_clock tm p | None -> ());
-      if a.Eco.rc_changed then Sta.Timer.invalidate tm;
-      if a.Eco.moved <> [] then Sta.Timer.update_moved tm ~cells:a.Eco.moved
+      if a.Eco.rc_changed || a.Eco.moved <> [] then Sta.Timer.invalidate tm

@@ -4,13 +4,14 @@
     trees + propagation scratch), and the last placement result.
 
     Invalidation rules (enforced by {!note_eco}, documented in
-    DESIGN.md §14): cell moves re-time the warm timer incrementally
-    ([Sta.Timer.update_moved]); a wire-RC change only invalidates (arc
-    delays are recomputed from [r_per_unit]/[c_per_unit] at the next
-    update — the graph survives); a clock retarget goes through
-    [Sta.Timer.set_clock] (boundary-condition refresh — the graph
-    survives); net reweighting does not touch timing at all. Nothing
-    short of [unload] discards the timing graph. *)
+    DESIGN.md §14): cell moves and wire-RC changes only mark the warm
+    timer stale (the [replace] that applies them re-places every cell
+    next, so an incremental re-time would be discarded unread; arc
+    delays are recomputed at the next timing demand — the graph
+    survives); a clock retarget goes through [Sta.Timer.set_clock]
+    (boundary-condition refresh — the graph survives); net reweighting
+    does not touch timing at all. Nothing short of [unload] discards the
+    timing graph. *)
 
 type entry = {
   design : Netlist.Design.t;
@@ -40,7 +41,7 @@ val names : t -> string list
 val timer : ?obs:Obs.Ctx.t -> entry -> Sta.Timer.t
 
 (** Apply the warm-cache invalidation rules for an applied ECO delta:
-    moves -> incremental re-time, RC -> invalidate, clock ->
-    [Sta.Timer.set_clock] refresh. A cold entry (no timer yet) stays
-    cold — building one just to invalidate it would be wasted work. *)
+    moves and RC -> mark stale, clock -> [Sta.Timer.set_clock] refresh.
+    No re-time runs here. A cold entry (no timer yet) stays cold —
+    building one just to invalidate it would be wasted work. *)
 val note_eco : entry -> Eco.applied -> unit

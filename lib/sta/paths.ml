@@ -18,18 +18,114 @@ type path = {
   arcs : int array; (* arc ids, aligned: arcs.(i) connects pins.(i) -> pins.(i+1) *)
 }
 
-(* Backward suffix as a shared cons-list of arc ids. *)
-type suffix = Nil | Cons of int * suffix
+(* Search scratch. Partial backward walks share their suffixes, so they
+   live in an arena of parallel arrays: node [i] is the walk that has
+   reached [pin.(i)], whose first arc [arc.(i)] leads to the walk
+   [parent.(i)] (-1 at the endpoint), with accumulated suffix delay
+   [delay.(i)]. The queue is a binary min-heap of float keys with node
+   payloads. A scratch is reset per search and reused across the
+   endpoints of one chunk, so steady-state searches allocate only the
+   paths they return. *)
+type scratch = {
+  mutable pin : int array;
+  mutable arc : int array;
+  mutable parent : int array;
+  mutable delay : float array;
+  mutable nodes : int;
+  mutable keys : float array;
+  mutable items : int array;
+  mutable size : int;
+}
 
-let rec suffix_to_list s acc = match s with Nil -> acc | Cons (a, rest) -> suffix_to_list rest (a :: acc)
+let create_scratch () =
+  {
+    pin = Array.make 64 0;
+    arc = Array.make 64 0;
+    parent = Array.make 64 0;
+    delay = Array.make 64 0.0;
+    nodes = 0;
+    keys = Array.make 64 0.0;
+    items = Array.make 64 0;
+    size = 0;
+  }
 
-let make_path (graph : Graph.t) ~endpoint ~arrival ~start_pin ~suffix =
-  (* suffix holds arcs from [start_pin] forward to [endpoint] in forward
-     order already reversed during the backward walk. *)
-  let arcs = Array.of_list (List.rev (suffix_to_list suffix [])) in
-  let npins = Array.length arcs + 1 in
-  let pins = Array.make npins start_pin in
-  Array.iteri (fun i a -> pins.(i + 1) <- graph.arc_to.(a)) arcs;
+let grow_int a = Array.append a (Array.make (Array.length a) 0)
+
+let grow_float a = Array.append a (Array.make (Array.length a) 0.0)
+
+let add_node s ~pin ~arc ~parent ~delay =
+  if s.nodes = Array.length s.pin then begin
+    s.pin <- grow_int s.pin;
+    s.arc <- grow_int s.arc;
+    s.parent <- grow_int s.parent;
+    s.delay <- grow_float s.delay
+  end;
+  let i = s.nodes in
+  s.pin.(i) <- pin;
+  s.arc.(i) <- arc;
+  s.parent.(i) <- parent;
+  s.delay.(i) <- delay;
+  s.nodes <- i + 1;
+  i
+
+(* Hole-based binary min-heap: strict comparisons, left child first on
+   ties, so equal keys pop in an order fixed by the push sequence and the
+   search is reproducible. *)
+let push s key x =
+  if s.size = Array.length s.keys then begin
+    s.keys <- grow_float s.keys;
+    s.items <- grow_int s.items
+  end;
+  let i = ref s.size in
+  s.size <- s.size + 1;
+  while !i > 0 && s.keys.((!i - 1) / 2) > key do
+    let p = (!i - 1) / 2 in
+    s.keys.(!i) <- s.keys.(p);
+    s.items.(!i) <- s.items.(p);
+    i := p
+  done;
+  s.keys.(!i) <- key;
+  s.items.(!i) <- x
+
+(* Remove the root; read [keys.(0)] / [items.(0)] first. *)
+let pop s =
+  s.size <- s.size - 1;
+  let n = s.size in
+  if n > 0 then begin
+    let key = s.keys.(n) and x = s.items.(n) in
+    let i = ref 0 and fin = ref false in
+    while not !fin do
+      let l = (2 * !i) + 1 and r = (2 * !i) + 2 in
+      let m = if l < n && s.keys.(l) < key then l else !i in
+      let m = if r < n && s.keys.(r) < (if m = !i then key else s.keys.(m)) then r else m in
+      if m = !i then fin := true
+      else begin
+        s.keys.(!i) <- s.keys.(m);
+        s.items.(!i) <- s.items.(m);
+        i := m
+      end
+    done;
+    s.keys.(!i) <- key;
+    s.items.(!i) <- x
+  end
+
+(* The walk at [node] starts at a startpoint: its arcs, read up the
+   parent chain, are already in forward order. *)
+let make_path (graph : Graph.t) s ~endpoint ~arrival ~node =
+  let len = ref 0 and j = ref node in
+  while s.parent.(!j) >= 0 do
+    incr len;
+    j := s.parent.(!j)
+  done;
+  let arcs = Array.make !len 0 in
+  let pins = Array.make (!len + 1) s.pin.(node) in
+  let j = ref node in
+  for i = 0 to !len - 1 do
+    let a = s.arc.(!j) in
+    arcs.(i) <- a;
+    pins.(i + 1) <- graph.arc_to.(a);
+    j := s.parent.(!j)
+  done;
   {
     endpoint;
     arrival;
@@ -78,13 +174,14 @@ let rec take n = function
 (** [k_worst graph arr ~endpoint ~k] returns up to [k] complete paths into
     [endpoint], worst (largest arrival) first. [arr] must hold the current
     arrival times. Returns [] when the endpoint is unreachable. *)
-let k_worst (graph : Graph.t) (arr : float array) ~endpoint ~k =
+let k_worst ?scratch (graph : Graph.t) (arr : float array) ~endpoint ~k =
   if k <= 0 || not (Float.is_finite arr.(endpoint)) then []
   else begin
-    (* Min-heap on the negated completion bound. Payload: (node, suffix
-       delay, suffix arcs). *)
-    let pq : (int * float * suffix) Util.Dheap.t = Util.Dheap.create () in
-    Util.Dheap.push pq (-.arr.(endpoint)) (endpoint, 0.0, Nil);
+    (* Min-heap on the negated completion bound over arena walks. *)
+    let s = match scratch with Some s -> s | None -> create_scratch () in
+    s.nodes <- 0;
+    s.size <- 0;
+    push s (-.arr.(endpoint)) (add_node s ~pin:endpoint ~arc:(-1) ~parent:(-1) ~delay:0.0);
     let out = ref [] in
     let count = ref 0 in
     (* Arrival of the k-th completed path. Completion bounds pop in
@@ -101,14 +198,16 @@ let k_worst (graph : Graph.t) (arr : float array) ~endpoint ~k =
     let kth = ref Float.neg_infinity in
     let cutoff = ref Float.neg_infinity in
     let stop = ref false in
-    while (not !stop) && not (Util.Dheap.is_empty pq) do
-      let neg_bound, (v, sfx_delay, sfx) = Util.Dheap.pop pq in
+    while (not !stop) && s.size > 0 do
+      let neg_bound = s.keys.(0) and node = s.items.(0) in
+      pop s;
       let bound = -.neg_bound in
+      let v = s.pin.(node) in
       if !count >= k && bound < !cutoff then stop := true
       else if graph.is_startpoint.(v) || graph.in_start.(v) = graph.in_start.(v + 1) then begin
         (* Complete path: v has no predecessors to extend through. *)
         if graph.is_startpoint.(v) then begin
-          out := make_path graph ~endpoint ~arrival:bound ~start_pin:v ~suffix:sfx :: !out;
+          out := make_path graph s ~endpoint ~arrival:bound ~node :: !out;
           incr count;
           if !count = k then begin
             kth := bound;
@@ -122,8 +221,8 @@ let k_worst (graph : Graph.t) (arr : float array) ~endpoint ~k =
           let a = graph.in_arc.(i) in
           let u = graph.arc_from.(a) in
           if Float.is_finite arr.(u) then begin
-            let nd = sfx_delay +. graph.arc_delay.(a) in
-            Util.Dheap.push pq (-.(arr.(u) +. nd)) (u, nd, Cons (a, sfx))
+            let nd = s.delay.(node) +. graph.arc_delay.(a) in
+            push s (-.(arr.(u) +. nd)) (add_node s ~pin:u ~arc:a ~parent:node ~delay:nd)
           end
         done
     done;

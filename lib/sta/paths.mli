@@ -21,10 +21,18 @@ val compare_worst : path -> path -> int
     structural tie-break as {!compare_worst}. *)
 val compare_by_slack : path -> path -> int
 
+(** Search scratch: the arena of partial walks and the queue. Reusable
+    across calls (one per domain); each search resets it. *)
+type scratch
+
+val create_scratch : unit -> scratch
+
 (** Up to [k] complete paths into [endpoint], worst (largest arrival)
     first ({!compare_worst} order); [] when unreachable. [arr] must hold
-    current arrivals. *)
-val k_worst : Graph.t -> float array -> endpoint:int -> k:int -> path list
+    current arrivals. [scratch] (fresh when omitted) must not be shared
+    by concurrent calls. *)
+val k_worst :
+  ?scratch:scratch -> Graph.t -> float array -> endpoint:int -> k:int -> path list
 
 (** The single worst path into [endpoint]. *)
 val worst_path : Graph.t -> float array -> endpoint:int -> path option

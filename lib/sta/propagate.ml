@@ -120,15 +120,64 @@ let tns t (graph : Graph.t) =
    (and everything derived from them — extraction, goldens) are total
    orders, reproducible across runs and domain counts. *)
 let compare_endpoint_slack t a b =
-  let c = compare t.slack.(a) t.slack.(b) in
+  let c = Float.compare t.slack.(a) t.slack.(b) in
   if c <> 0 then c else compare a b
 
-(** Endpoints with negative slack, worst first (ties by pin id). *)
-let failing_endpoints t (graph : Graph.t) =
-  Array.to_list graph.endpoints
-  |> List.filter (fun p -> Float.is_finite t.slack.(p) && t.slack.(p) < 0.0)
-  |> List.sort (compare_endpoint_slack t)
+let is_failing t p = Float.is_finite t.slack.(p) && t.slack.(p) < 0.0
 
-(** All endpoints sorted by slack, worst first (ties by pin id). *)
-let endpoints_by_slack t (graph : Graph.t) =
-  Array.to_list graph.endpoints |> List.sort (compare_endpoint_slack t)
+(** The first [n] endpoints in the worst-first order (only failing ones
+    when [failing_only]). A bounded max-heap keeps the [n] best-ranked
+    seen so far — its root is the one ranked last — so the selection is
+    O(E log n), and only the kept [n] are sorted. *)
+let worst_endpoints t (graph : Graph.t) ~n ~failing_only =
+  let cap = max 0 (min n (Array.length graph.endpoints)) in
+  let heap = Array.make cap 0 in
+  let size = ref 0 in
+  let later i j = compare_endpoint_slack t heap.(i) heap.(j) > 0 in
+  let swap i j =
+    let x = heap.(i) in
+    heap.(i) <- heap.(j);
+    heap.(j) <- x
+  in
+  let rec sift_up i =
+    if i > 0 then begin
+      let p = (i - 1) / 2 in
+      if later i p then begin
+        swap i p;
+        sift_up p
+      end
+    end
+  in
+  let rec sift_down i =
+    let l = (2 * i) + 1 and r = (2 * i) + 2 in
+    let m = if l < !size && later l i then l else i in
+    let m = if r < !size && later r m then r else m in
+    if m <> i then begin
+      swap i m;
+      sift_down m
+    end
+  in
+  Array.iter
+    (fun p ->
+      if (not failing_only) || is_failing t p then
+        if !size < cap then begin
+          heap.(!size) <- p;
+          incr size;
+          sift_up (!size - 1)
+        end
+        else if cap > 0 && compare_endpoint_slack t p heap.(0) < 0 then begin
+          heap.(0) <- p;
+          sift_down 0
+        end)
+    graph.endpoints;
+  let out = Array.sub heap 0 !size in
+  Array.sort (compare_endpoint_slack t) out;
+  out
+
+(** Number of endpoints with negative slack. *)
+let num_failing t (graph : Graph.t) =
+  Array.fold_left (fun acc p -> if is_failing t p then acc + 1 else acc) 0 graph.endpoints
+
+(** Endpoints with negative slack, worst first (ties by pin id). *)
+let failing_endpoints t graph =
+  Array.to_list (worst_endpoints t graph ~n:max_int ~failing_only:true)

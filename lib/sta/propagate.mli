@@ -27,8 +27,13 @@ val wns : t -> Graph.t -> float
 (** Sum of negative endpoint slacks. *)
 val tns : t -> Graph.t -> float
 
+(** The first [n] endpoints in the worst-first total order (slack, then
+    pin id), failing ones only when [failing_only], selected in
+    O(E log n) without sorting the rest. *)
+val worst_endpoints : t -> Graph.t -> n:int -> failing_only:bool -> int array
+
+(** Number of endpoints with negative slack (no list is built). *)
+val num_failing : t -> Graph.t -> int
+
 (** Endpoints with negative slack, worst first. *)
 val failing_endpoints : t -> Graph.t -> int list
-
-(** All endpoints by slack, worst first. *)
-val endpoints_by_slack : t -> Graph.t -> int list

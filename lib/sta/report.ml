@@ -20,13 +20,6 @@ type stats = {
   elapsed : float; (* seconds *)
 }
 
-let worst_endpoints (prop : Propagate.t) (graph : Graph.t) ~n ~failing_only =
-  let eps =
-    if failing_only then Propagate.failing_endpoints prop graph
-    else Propagate.endpoints_by_slack prop graph
-  in
-  List.filteri (fun i _ -> i < n) eps
-
 (* Distinct (from, to) pairs over *net* arcs of the given paths: cell-arc
    pairs have fixed geometry (same cell) so the placement objective only
    ever uses net-arc pairs. *)
@@ -55,20 +48,21 @@ let stats_of (graph : Graph.t) paths ~elapsed =
     [cap] bounds the candidate pool to keep pathological calls tractable. *)
 let report_timing ?(failing_only = true) ?(cap = 4_000_000) (prop : Propagate.t)
     (graph : Graph.t) ~n =
-  let eps = worst_endpoints prop graph ~n ~failing_only in
+  let eps = Propagate.worst_endpoints prop graph ~n ~failing_only in
   let per_endpoint = n in
   let budget = ref cap in
+  let scratch = Paths.create_scratch () in
   let candidates =
     List.concat_map
       (fun e ->
         if !budget <= 0 then []
         else begin
           let k = min per_endpoint !budget in
-          let ps = Paths.k_worst graph prop.Propagate.arr ~endpoint:e ~k in
+          let ps = Paths.k_worst ~scratch graph prop.Propagate.arr ~endpoint:e ~k in
           budget := !budget - List.length ps;
           ps
         end)
-      eps
+      (Array.to_list eps)
   in
   (* Total order (slack, endpoint, pins): reproducible under slack ties. *)
   let sorted = List.sort Paths.compare_by_slack candidates in
@@ -78,12 +72,17 @@ let report_timing ?(failing_only = true) ?(cap = 4_000_000) (prop : Propagate.t)
     endpoints; every endpoint investigated is represented. Endpoints are
     independent best-first searches over read-only state, so the
     fan-out is parallel across domains (result order — and therefore the
-    result itself — is identical to the sequential enumeration). *)
+    result itself — is identical to the sequential enumeration). Each
+    chunk of endpoints reuses one search scratch. *)
 let report_timing_endpoint ?(failing_only = true) (prop : Propagate.t) (graph : Graph.t) ~n ~k =
-  let eps = Array.of_list (worst_endpoints prop graph ~n ~failing_only) in
+  let eps = Propagate.worst_endpoints prop graph ~n ~failing_only in
   let per_ep = Array.make (Array.length eps) [] in
-  Util.Parallel.for_ ~grain:2 ~name:"extract.endpoints" (Array.length eps) (fun i ->
-      per_ep.(i) <- Paths.k_worst graph prop.Propagate.arr ~endpoint:eps.(i) ~k);
+  ignore
+    (Util.Parallel.iter_chunks_scratch ~grain:2 ~name:"extract.endpoints" ~n:(Array.length eps)
+       ~scratch:Paths.create_scratch (fun ~scratch ~chunk:_ ~lo ~hi ->
+         for i = lo to hi - 1 do
+           per_ep.(i) <- Paths.k_worst ~scratch graph prop.Propagate.arr ~endpoint:eps.(i) ~k
+         done));
   List.concat (Array.to_list per_ep)
 
 

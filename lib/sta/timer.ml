@@ -100,7 +100,9 @@ let failing_endpoints t =
   ensure t;
   Propagate.failing_endpoints t.prop t.graph
 
-let num_failing_endpoints t = List.length (failing_endpoints t)
+let num_failing_endpoints t =
+  ensure t;
+  Propagate.num_failing t.prop t.graph
 
 let report_timing ?failing_only ?cap t ~n =
   ensure t;
@@ -114,9 +116,9 @@ let report_timing_endpoint ?failing_only t ~n ~k =
     reachable). *)
 let critical_path t =
   ensure t;
-  match Propagate.endpoints_by_slack t.prop t.graph with
-  | [] -> None
-  | e :: _ -> Paths.worst_path t.graph t.prop.Propagate.arr ~endpoint:e
+  match Propagate.worst_endpoints t.prop t.graph ~n:1 ~failing_only:false with
+  | [||] -> None
+  | eps -> Paths.worst_path t.graph t.prop.Propagate.arr ~endpoint:eps.(0)
 
 let stats_of_paths t paths ~elapsed = Report.stats_of t.graph paths ~elapsed
 

@@ -1,8 +1,5 @@
-(** Binary min-heap keyed by floats, carrying arbitrary payloads.
-
-    Used for k-worst-path deviation search (keys are slack deficits) and
-    Prim's algorithm in Steiner tree construction. For a max-heap behaviour
-    insert negated keys. *)
+(** Binary min-heap keyed by floats, carrying arbitrary payloads. For a
+    max-heap behaviour insert negated keys. *)
 
 type 'a t = {
   mutable keys : float array;

@@ -1,8 +1,5 @@
-(** Binary min-heap keyed by floats, carrying arbitrary payloads.
-
-    Used for k-worst-path deviation search (keys are negated arrival
-    bounds) and Prim's algorithm. For max-heap behaviour insert negated
-    keys. *)
+(** Binary min-heap keyed by floats, carrying arbitrary payloads. For
+    max-heap behaviour insert negated keys. *)
 
 type 'a t
 

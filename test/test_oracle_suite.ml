@@ -597,6 +597,103 @@ let fuzz_dump () =
   if Sys.file_exists dir then Sys.rmdir dir
 
 (* ------------------------------------------------------------------ *)
+(* JSON encoder byte identity                                          *)
+
+let check_bytes what v =
+  let want = Ref_json.to_string v and got = Obs.Json.to_string v in
+  if got <> want then Alcotest.failf "%s: encoded %S, reference %S" what got want
+
+(* Floats that stress the [%.17g] pre-filter: every class of double,
+   decade boundaries, and values whose 12-digit scaling lands next to
+   1e11, 1e12 or an integer +- 0.01. *)
+let json_float_identity () =
+  let rng = Random.State.make [| 14 |] in
+  let check f = check_bytes (Printf.sprintf "float %h" f) (Obs.Json.Float f) in
+  let check_pm f =
+    List.iter
+      (fun g ->
+        check g;
+        check (-.g))
+      [ f; Float.succ f; Float.pred f ]
+  in
+  List.iter check_pm
+    [
+      0.0; Float.min_float; Float.max_float; Float.epsilon; 5e-324; 2.2250738585072009e-308;
+      1e22; 1e23; 0.1; 0.5; 1.0; 3.0; 123.456; 1e-11; 1e34; 9.999999999995e11;
+    ];
+  List.iter check [ Float.nan; Float.infinity; Float.neg_infinity; -0.0 ];
+  for e = -325 to 309 do
+    check_pm (float_of_string (Printf.sprintf "1e%d" e))
+  done;
+  for _ = 1 to 20_000 do
+    (* Random bit patterns: subnormals, NaN payloads and infinities too. *)
+    check (Int64.float_of_bits (Random.State.int64 rng Int64.max_int));
+    check (-.Int64.float_of_bits (Random.State.int64 rng Int64.max_int));
+    check (Random.State.float rng 2e4 -. 1e4);
+    (* Short decimals, the shape of most slacks and coordinates. *)
+    check
+      (float_of_int (Random.State.int rng 2_000_000 - 1_000_000)
+      /. float_of_string (Printf.sprintf "1e%d" (Random.State.int rng 7)));
+    (* Scaled s next to the decade edges and next to the 0.01 cut. *)
+    let e = Random.State.int rng 60 - 20 in
+    let edge =
+      match Random.State.int rng 4 with
+      | 0 -> Printf.sprintf "99999999999%d.99%02d" (Random.State.int rng 10) (Random.State.int rng 100)
+      | 1 -> Printf.sprintf "1000000000000.%03d" (Random.State.int rng 1000)
+      | 2 -> Printf.sprintf "100000000000.%03d" (Random.State.int rng 1000)
+      | _ ->
+          Printf.sprintf "%d.%s%d"
+            (100_000_000_000 + Random.State.full_int rng 899_999_999_999)
+            (if Random.State.bool rng then "00" else "0")
+            (Random.State.int rng 1000)
+    in
+    check_pm (float_of_string (Printf.sprintf "%se%d" edge (e - 11)))
+  done
+
+let json_string_identity () =
+  let all = String.init 256 Char.chr in
+  check_bytes "all bytes" (Obs.Json.String all);
+  for c = 0 to 255 do
+    let s = String.make 1 (Char.chr c) in
+    check_bytes (Printf.sprintf "byte %d" c) (Obs.Json.String s);
+    check_bytes (Printf.sprintf "byte %d inside" c) (Obs.Json.String ("ab" ^ s ^ "cd" ^ s));
+    check_bytes (Printf.sprintf "byte %d as key" c) (Obs.Json.Obj [ (s, Obs.Json.Null) ])
+  done;
+  let rng = Random.State.make [| 15 |] in
+  for _ = 1 to 2000 do
+    let s = String.init (Random.State.int rng 20) (fun _ -> Char.chr (Random.State.int rng 256)) in
+    check_bytes "random string" (Obs.Json.String s)
+  done;
+  let open Obs.Json in
+  List.iter (check_bytes "structure")
+    [
+      String ""; List []; Obj []; List [ List [] ]; Obj [ ("", Obj []) ];
+      List [ Null; Bool true; Bool false; Int 0; Int (-7); Int max_int; Int min_int ];
+      Obj [ ("a", List [ Obj [ ("b", List [ Float 1.5; String "x\"y" ]) ]; List [] ]); ("c", Null) ];
+    ]
+
+(* A real daemon reply: report_timing n=500, k=4 on a loaded design. *)
+let json_reply_identity () =
+  let engine = Service.Engine.create () in
+  let send line =
+    let reply = Service.Engine.handle_line engine line in
+    (match Obs.Json.member "ok" reply with
+    | Some (Obs.Json.Bool true) -> ()
+    | _ -> Alcotest.failf "request failed: %s" (Ref_json.to_string reply));
+    reply
+  in
+  ignore (send {|{"id":"1","op":"load","params":{"suite":"sb1","scale":0.3}}|});
+  let reply =
+    send {|{"id":"2","op":"report_timing","params":{"design":"sb1","n":500,"k":4}}|}
+  in
+  let paths =
+    Option.bind (Obs.Json.member "result" reply) (Obs.Json.member "paths")
+    |> Fun.flip Option.bind Obs.Json.to_list |> Option.value ~default:[]
+  in
+  Alcotest.(check bool) "reply carries paths" true (List.length paths > 100);
+  check_bytes "report_timing reply" reply
+
+(* ------------------------------------------------------------------ *)
 (* Golden harness                                                      *)
 
 let golden_policy () =
@@ -657,6 +754,9 @@ let suite =
     Alcotest.test_case "fuzz battery clean" `Slow fuzz_battery;
     Alcotest.test_case "fuzz shrinker minimises" `Slow fuzz_shrinker;
     Alcotest.test_case "fuzz dumps counterexamples" `Quick fuzz_dump;
+    Alcotest.test_case "json floats = reference encoder" `Quick json_float_identity;
+    Alcotest.test_case "json strings/structure = reference encoder" `Quick json_string_identity;
+    Alcotest.test_case "json report_timing reply = reference encoder" `Quick json_reply_identity;
     Alcotest.test_case "golden tolerance policy" `Quick golden_policy;
     Alcotest.test_case "golden regen/check roundtrip" `Slow golden_roundtrip;
   ]

@@ -368,6 +368,33 @@ let place_exe =
 
 let run_place args = Sys.command (place_exe ^ " " ^ args ^ " >/dev/null 2>&1")
 
+let bin_exe name =
+  Filename.concat
+    (Filename.dirname Sys.executable_name)
+    (Filename.concat Filename.parent_dir_name (Filename.concat "bin" (name ^ ".exe")))
+
+(* Every binary's manual renders: exit 0 and nothing on stderr (a doc
+   string with bad markup prints a cmdliner error there). *)
+let test_help_renders () =
+  let err = Filename.temp_file "help" ".err" in
+  List.iter
+    (fun name ->
+      let code =
+        Sys.command
+          (Printf.sprintf "%s --help=plain >/dev/null 2>%s" (Filename.quote (bin_exe name))
+             (Filename.quote err))
+      in
+      let ic = open_in_bin err in
+      let stderr_text = really_input_string ic (in_channel_length ic) in
+      close_in ic;
+      Alcotest.(check int) (name ^ " --help exit") 0 code;
+      Alcotest.(check string) (name ^ " --help stderr") "" stderr_text)
+    [
+      "place"; "placed"; "golden"; "bench_diff"; "trace_report"; "gen_bench"; "design_stats";
+      "report_timing";
+    ];
+  Sys.remove err
+
 let write_file path s =
   let oc = open_out path in
   output_string oc s;
@@ -469,4 +496,5 @@ let suite =
     ("flow survives elmore nan fault", `Slow, test_flow_with_elmore_nan_fault);
     ("flow rejects invalid design", `Quick, test_flow_rejects_invalid_design);
     ("place exit codes", `Slow, test_place_exit_codes);
+    ("every binary's --help renders cleanly", `Quick, test_help_renders);
   ]
